@@ -1,10 +1,6 @@
 #include "net/http.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -118,13 +114,11 @@ void AdminServer::service_loop() {
     for (const auto& e : events) {
       if (e.data == nullptr) {  // listener
         for (;;) {
-          const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-          if (fd < 0) break;
-          Socket sock(fd);
+          Socket sock = accept_nonblocking(listener_);
+          if (!sock.valid()) break;
           if (conns.size() >= options_.max_connections) {
             continue;  // over cap: close immediately (Socket dtor)
           }
-          set_nonblocking(fd, true);
           auto conn = std::make_unique<Conn>(std::move(sock));
           loop_->add(conn->sock.fd(), false, conn.get());
           conns.push_back(std::move(conn));

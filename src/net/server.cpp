@@ -1,10 +1,6 @@
 #include "net/server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -175,6 +171,7 @@ struct Server::Connection {
   /// even when sub-batches complete out of order across shards.
   std::deque<std::unique_ptr<PendingReply>> pipeline;
   bool want_write = false;  ///< EPOLLOUT currently armed
+  bool dirty = false;       ///< queued on Worker::dirty
   bool dead = false;
   /// Peer closed its write half; the connection stays up until the
   /// pipeline has flushed, then closes.
@@ -193,7 +190,14 @@ struct Server::Worker {
   std::vector<Socket> intake;  ///< accepted sockets awaiting adoption
   std::vector<std::unique_ptr<Connection>> conns;
 
-  // --- sharded mode state (owner thread only) ---------------------------
+  // --- sharded mode state (owner thread only unless noted) --------------
+  /// Set while this worker is (about to be) blocked in epoll_wait;
+  /// producers ring its eventfd only then. Written by the owner, read
+  /// by every peer.
+  std::atomic<bool> sleeping{false};
+  /// Connections pump_replies appended replies to this turn; flushed
+  /// once per loop turn by flush_dirty.
+  std::vector<Connection*> dirty;
   /// Producer-side parking lot, one FIFO per destination, for messages
   /// that found the ring full. Drained (in order, ahead of new pushes)
   /// every loop iteration.
@@ -213,6 +217,7 @@ struct Server::Worker {
   metrics::Counter* shard_keys = nullptr;
   metrics::Counter* ring_forwards = nullptr;
   metrics::Counter* ring_full = nullptr;
+  metrics::Counter* wakes = nullptr;
 
   // Drain state.
   bool draining = false;
@@ -300,6 +305,10 @@ void Server::start() {
           "mpcbf_server_shard_ring_full_total",
           "Ring messages parked on the overflow queue (ring full)",
           {{"shard", shard}});
+      w->wakes = &reg.counter(
+          "mpcbf_server_shard_wakes_total",
+          "Eventfd doorbells this shard's worker wrote to a peer",
+          {{"shard", shard}});
     }
     workers_.push_back(std::move(w));
   }
@@ -374,10 +383,8 @@ void Server::acceptor_loop() {
     (void)accept_loop_->wait(events, -1);
     if (stopping_.load(std::memory_order_acquire)) break;
     for (;;) {
-      const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-      if (fd < 0) break;  // EAGAIN (or transient): back to the loop
-      Socket conn(fd);
-      set_nonblocking(fd, true);
+      Socket conn = accept_nonblocking(listener_);
+      if (!conn.valid()) break;  // EAGAIN (or transient): back to the loop
       accepted_.fetch_add(1, std::memory_order_relaxed);
       metrics_->connections.inc();
       Worker& w = *workers_[next_worker];
@@ -410,6 +417,7 @@ void Server::worker_loop(Worker& w) {
     // gather, parked ring messages to retry.
     if (sharded_) {
       (void)drain_rings(w);
+      flush_dirty(w);
       if (w.mutation_subs >= kMaintainEvery &&
           shards_.shards[w.index].maintain) {
         w.mutation_subs = 0;
@@ -437,7 +445,11 @@ void Server::worker_loop(Worker& w) {
       for (auto& c : w.conns) {
         if (c->dead) continue;
         try {
-          if (!drain_frames(w, *c) || !flush_writes(*c)) c->dead = true;
+          if (drain_frames(w, *c)) {
+            flush_writes(*c);
+          } else {
+            c->dead = true;
+          }
         } catch (const NetError&) {
           c->dead = true;
         }
@@ -452,6 +464,7 @@ void Server::worker_loop(Worker& w) {
     // at peer shards (the job memory must outlive the completions).
     std::erase_if(w.conns, [&](const auto& c) {
       if (!c->dead) return false;
+      if (c->dirty) std::erase(w.dirty, c.get());
       for (auto& job : c->pipeline) {
         if (!job->done && job->outstanding > 0) {
           job->conn = nullptr;
@@ -485,14 +498,7 @@ void Server::worker_loop(Worker& w) {
             drained_origins_.load(std::memory_order_acquire) ==
                 workers_.size() &&
             !w.has_overflow && w.orphans.empty()) {
-          bool rings_empty = true;
-          for (std::size_t src = 0; src < workers_.size(); ++src) {
-            if (src != w.index && !rings_[w.index][src]->empty()) {
-              rings_empty = false;
-              break;
-            }
-          }
-          if (rings_empty) {
+          if (!rings_pending(w)) {
             if (shards_.shards[w.index].wal_flush) {
               try {
                 shards_.shards[w.index].wal_flush();
@@ -534,7 +540,17 @@ void Server::worker_loop(Worker& w) {
             wait_ms, 1, std::numeric_limits<int>::max()));
       }
     }
+    if (sharded_) {
+      // Park: announce it, then re-check the inbound rings. Paired with
+      // the fence in send_to, either this check sees a message pushed
+      // concurrently or its producer sees `sleeping` and rings the
+      // doorbell, so no wake-up is lost.
+      w.sleeping.store(true, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (rings_pending(w)) timeout_ms = 0;
+    }
     (void)w.loop.wait(events, timeout_ms);
+    w.sleeping.store(false, std::memory_order_relaxed);
     for (const auto& e : events) {
       auto* c = static_cast<Connection*>(e.data);
       if (c == nullptr || c->dead) continue;
@@ -570,7 +586,7 @@ void Server::service_connection(Worker& w, Connection& c, bool readable,
           // pump_replies closes once the pipeline empties.
           w.loop.del(c.sock.fd());
           if (c.pipeline.empty()) {
-            (void)flush_writes(c);
+            flush_writes(c);
             c.dead = true;
           }
           return;
@@ -582,10 +598,7 @@ void Server::service_connection(Worker& w, Connection& c, bool readable,
         return;
       }
     }
-    if (!flush_writes(c)) {
-      c.dead = true;
-      return;
-    }
+    flush_writes(c);
     update_write_interest(w, c);
   } catch (const NetError&) {
     c.dead = true;
@@ -1082,7 +1095,7 @@ void Server::reply_error(Worker& w, Connection& c, const Frame& frame,
                frame.header.request_id, c.payload);
 }
 
-bool Server::flush_writes(Connection& c) {
+void Server::flush_writes(Connection& c) {
   while (c.wpos < c.wbuf.size()) {
     const std::ptrdiff_t n = write_some(
         c.sock.fd(), c.wbuf.data() + c.wpos, c.wbuf.size() - c.wpos);
@@ -1096,7 +1109,28 @@ bool Server::flush_writes(Connection& c) {
     c.wbuf.erase(0, c.wpos);
     c.wpos = 0;
   }
-  return true;
+}
+
+void Server::flush_dirty(Worker& w) {
+  for (Connection* c : w.dirty) {
+    c->dirty = false;
+    if (c->dead) continue;
+    try {
+      flush_writes(*c);
+    } catch (const NetError&) {
+      c->dead = true;
+      continue;
+    }
+    if (c->eof) {
+      // The fd is deregistered; once the pipeline empties the
+      // connection closes (best-effort flush above — a half-closed peer
+      // with a full socket buffer forfeits the tail).
+      if (c->pipeline.empty()) c->dead = true;
+    } else {
+      update_write_interest(w, *c);
+    }
+  }
+  w.dirty.clear();
 }
 
 void Server::update_write_interest(Worker& w, Connection& c) {
@@ -1590,14 +1624,31 @@ void Server::send_to(Worker& w, std::size_t dest, RingMsg msg) {
   // a new message may not overtake ones already parked.
   if (!msg.completion) w.ring_forwards->inc();
   if (w.overflow[dest].empty() && ring.push(msg)) {
-    workers_[dest]->loop.wake();
+    // The producer half of the park handshake in worker_loop: push,
+    // fence, then look. An awake peer drains the ring on its own turn.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (workers_[dest]->sleeping.load(std::memory_order_relaxed)) {
+      wake_peer(w, dest);
+    }
     return;
   }
   w.ring_full->inc();
   w.overflow[dest].push_back(msg);
   w.has_overflow = true;
   if (!msg.completion) ++w.overflow_work;
+  wake_peer(w, dest);
+}
+
+void Server::wake_peer(Worker& w, std::size_t dest) {
+  w.wakes->inc();
   workers_[dest]->loop.wake();
+}
+
+bool Server::rings_pending(const Worker& w) const {
+  for (std::size_t src = 0; src < workers_.size(); ++src) {
+    if (src != w.index && !rings_[w.index][src]->empty()) return true;
+  }
+  return false;
 }
 
 bool Server::drain_rings(Worker& w) {
@@ -1624,7 +1675,7 @@ bool Server::drain_rings(Worker& w) {
       while (!q.empty() && rings_[dest][w.index]->push(q.front())) {
         if (!q.front().completion) --w.overflow_work;
         q.pop_front();
-        workers_[dest]->loop.wake();
+        wake_peer(w, dest);
         did = true;
       }
       if (!q.empty()) w.has_overflow = true;
@@ -1853,19 +1904,10 @@ void Server::pump_replies(Worker& w, Connection& c) {
                  job->request_id, job->payload);
     wrote = true;
   }
-  if (!wrote) return;
-  if (!flush_writes(c)) {
-    c.dead = true;
-    return;
+  if (wrote && !c.dirty) {
+    c.dirty = true;
+    w.dirty.push_back(&c);
   }
-  if (c.eof) {
-    // The fd is deregistered; once the pipeline empties the connection
-    // closes (best-effort flush above — a half-closed peer with a full
-    // socket buffer forfeits the tail).
-    if (c.pipeline.empty()) c.dead = true;
-    return;
-  }
-  update_write_interest(w, c);
 }
 
 void Server::complete_now(Worker& w, Connection& c, std::uint8_t opcode,

@@ -23,9 +23,13 @@
 // split into per-shard sub-batches; keys owned by the decoding worker
 // are served in place, the rest travel to their owners over lossless
 // SPSC rings (spsc_ring.hpp) and the completions ride the reverse
-// rings, eventfd-woken. A per-connection reply pipeline reassembles
-// responses in request order, so the wire protocol is byte-identical to
-// the flat server.
+// rings. A producer writes the destination's eventfd only when that
+// worker is parked in epoll_wait (a fence-based Dekker handshake on
+// Worker::sleeping); an awake worker finds the message on its next
+// turn. A per-connection reply pipeline reassembles responses in
+// request order, so the wire protocol is byte-identical to the flat
+// server; replies completed during a loop turn leave in one send per
+// connection at the end of the ring drain.
 //
 //   acceptor ──round-robin──▶ N worker event loops (epoll)
 //                               │ decode → shard split
@@ -645,8 +649,13 @@ class Server {
                        Opcode op, const FilterBackend& be);
   void reply_error(Worker& w, Connection& c, const Frame& frame,
                    ErrorCode code, std::string_view message);
-  /// Flushes the write buffer; returns false on a dead connection.
-  bool flush_writes(Connection& c);
+  /// Writes as much of the write buffer as the socket takes. Hard
+  /// errors throw NetError (write_some).
+  void flush_writes(Connection& c);
+  /// Sharded mode: flushes every connection pump_replies appended to
+  /// since the last turn — one send per connection per loop turn — and
+  /// closes half-closed connections whose pipeline has emptied.
+  void flush_dirty(Worker& w);
   /// Re-arms EPOLLOUT to match pending write bytes.
   void update_write_interest(Worker& w, Connection& c);
   /// Closes connections stuck mid-frame past Options::frame_timeout.
@@ -657,8 +666,14 @@ class Server {
   /// Runs one sub-batch against the worker's own shard.
   void execute_sub(Worker& w, SubBatch& sub);
   /// Sends `msg` to worker `dest`'s inbound ring (producer side = `w`),
-  /// parking it on the overflow queue when the ring is full.
+  /// parking it on the overflow queue when the ring is full. Rings the
+  /// destination's eventfd only when it is parked in epoll_wait.
   void send_to(Worker& w, std::size_t dest, RingMsg msg);
+  /// Writes worker `dest`'s eventfd on behalf of `w`, counted in
+  /// mpcbf_server_shard_wakes_total.
+  void wake_peer(Worker& w, std::size_t dest);
+  /// True when any inbound ring of `w` holds a message.
+  [[nodiscard]] bool rings_pending(const Worker& w) const;
   /// Pops and handles every pending ring message; returns work done.
   bool drain_rings(Worker& w);
   /// Called on the origin worker when a sub-batch completes; finalizes
@@ -666,7 +681,8 @@ class Server {
   void complete_sub(Worker& w, SubBatch& sub);
   /// Merges sub results into the reply payload and marks the job done.
   void finalize_job(Worker& w, PendingReply& job);
-  /// Emits every leading completed reply of the connection's pipeline.
+  /// Appends every leading completed reply of the connection's pipeline
+  /// to its write buffer and queues the connection for flush_dirty.
   void pump_replies(Worker& w, Connection& c);
   /// Enqueues an already-complete reply, preserving pipeline order.
   void complete_now(Worker& w, Connection& c, std::uint8_t opcode,

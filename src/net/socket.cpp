@@ -37,6 +37,11 @@ void apply_timeout(int fd, std::chrono::milliseconds timeout) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
 
+void set_nodelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
 }  // namespace
 
 void Socket::close() noexcept {
@@ -94,10 +99,15 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
   }
   // Request/response round trips are latency-bound; never Nagle-delay a
   // small batched request behind an unacked previous one.
-  const int one = 1;
-  (void)::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof one);
+  set_nodelay(sock.fd());
   return sock;
+}
+
+Socket accept_nonblocking(const Socket& listener) {
+  Socket conn(::accept4(listener.fd(), nullptr, nullptr,
+                        SOCK_NONBLOCK | SOCK_CLOEXEC));
+  if (conn.valid()) set_nodelay(conn.fd());
+  return conn;
 }
 
 void set_nonblocking(int fd, bool enable) {

@@ -65,6 +65,14 @@ class Socket {
                                  std::uint16_t port,
                                  std::chrono::milliseconds io_timeout);
 
+/// Accepts one pending connection off a nonblocking listener as a
+/// nonblocking, close-on-exec socket with TCP_NODELAY set — every
+/// server-side socket is request/response, so a small reply must never
+/// wait for the peer's next request to carry the ACK (Nagle). Returns
+/// an invalid Socket when nothing is pending (EAGAIN) or the accept
+/// failed transiently; callers loop until then.
+[[nodiscard]] Socket accept_nonblocking(const Socket& listener);
+
 void set_nonblocking(int fd, bool enable);
 
 /// read(2) retrying EINTR. Returns bytes read (0 = EOF), -1 with errno

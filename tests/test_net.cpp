@@ -1,10 +1,15 @@
 // End-to-end server/client tests over loopback: batch verdict parity
 // against a directly-driven Mpcbf, pipelined and concurrent clients
 // (the TSan job runs this file), WAL-before-apply ordering for batched
-// inserts through a DurableMpcbf backend, and a hostile-bytes sweep
+// inserts through a DurableMpcbf backend, a hostile-bytes sweep
 // against a live socket — malformed input must produce an error reply
-// or a clean close, never a crash.
+// or a clean close, never a crash — and the socket flags every
+// server-side accept must carry.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstring>
@@ -377,6 +382,33 @@ TEST(Net, OversizedLengthFieldRejectedWithoutAllocation) {
     ASSERT_NE(n, -1) << "server neither replied nor closed";
     if (n == 0) break;  // clean close
   }
+}
+
+// --- sockets ------------------------------------------------------------
+
+TEST(Net, AcceptNonblockingSetsNodelayNonblockAndCloexec) {
+  // Every server-side accept goes through this helper: the socket must
+  // come back nonblocking, close-on-exec and with Nagle off, or replies
+  // wait for the client's next request to carry the ACK.
+  Socket listener = listen_tcp("127.0.0.1", 0);
+  set_nonblocking(listener.fd(), true);
+  EXPECT_FALSE(accept_nonblocking(listener).valid());  // nothing pending
+  Socket client = connect_tcp("127.0.0.1", local_port(listener.fd()),
+                              std::chrono::milliseconds(2000));
+  Socket conn;
+  for (int i = 0; i < 400 && !conn.valid(); ++i) {
+    conn = accept_nonblocking(listener);
+    if (!conn.valid()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(conn.valid());
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(conn.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  EXPECT_NE(::fcntl(conn.fd(), F_GETFL) & O_NONBLOCK, 0);
+  EXPECT_NE(::fcntl(conn.fd(), F_GETFD) & FD_CLOEXEC, 0);
 }
 
 // --- lifecycle ----------------------------------------------------------

@@ -3,15 +3,20 @@
 // for every batch shape, idle-no-wakeups for the epoll loops, sequenced
 // mutations through the scatter path, drain-under-load (no in-flight
 // sub-batch dropped by stop()), durable per-shard recovery with the
-// merged manifest, and replication: a flat follower tailing a sharded
-// primary's merged journal stream.
+// merged manifest, replication: a flat follower tailing a sharded
+// primary's merged journal stream, and the reply path: no lost ring
+// doorbell when peers park between frames, pipelined replies in order
+// across a half-close.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <shared_mutex>
 #include <sstream>
 #include <string>
@@ -20,10 +25,12 @@
 
 #include "core/durable_mpcbf.hpp"
 #include "core/mpcbf.hpp"
+#include "metrics/registry.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/replication.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 
 namespace {
 
@@ -53,6 +60,69 @@ std::vector<std::string> make_keys(std::size_t n, std::uint64_t seed) {
                    std::to_string(i));
   }
   return keys;
+}
+
+/// Fresh keys, `per_shard` owned by each of `shards` shards, interleaved
+/// so every run of `shards` consecutive keys touches every shard once.
+std::vector<std::string> keys_spanning_shards(std::uint32_t shards,
+                                              std::size_t per_shard,
+                                              std::uint64_t seed) {
+  std::vector<std::vector<std::string>> by_shard(shards);
+  for (std::size_t i = 0;; ++i) {
+    std::string k = "span-" + std::to_string(seed) + "-" + std::to_string(i);
+    auto& bucket = by_shard[shard_of(k, shards)];
+    if (bucket.size() < per_shard) bucket.push_back(std::move(k));
+    if (std::all_of(by_shard.begin(), by_shard.end(), [&](const auto& b) {
+          return b.size() == per_shard;
+        })) {
+      break;
+    }
+  }
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < per_shard; ++i) {
+    for (auto& bucket : by_shard) keys.push_back(std::move(bucket[i]));
+  }
+  return keys;
+}
+
+/// Ring traffic summed over every shard's labeled series. The registry
+/// is process-global, so tests compare deltas.
+struct RingTraffic {
+  std::uint64_t forwards = 0;
+  std::uint64_t full = 0;
+  std::uint64_t wakes = 0;
+
+  static RingTraffic read(std::uint32_t shards) {
+    auto& reg = metrics::Registry::global();
+    RingTraffic t;
+    for (std::uint32_t i = 0; i < shards; ++i) {
+      const std::string id = std::to_string(i);
+      t.forwards +=
+          reg.counter("mpcbf_server_shard_ring_forwards_total", "",
+                      {{"shard", id}})
+              .value();
+      t.full += reg.counter("mpcbf_server_shard_ring_full_total", "",
+                            {{"shard", id}})
+                    .value();
+      t.wakes += reg.counter("mpcbf_server_shard_wakes_total", "",
+                             {{"shard", id}})
+                     .value();
+    }
+    return t;
+  }
+};
+
+/// Each forwarded sub-batch crosses two rings (work out, completion
+/// back) and costs at most one doorbell per crossing; a message parked
+/// on a full ring adds one unconditional wake at park time.
+void expect_wakes_bounded_by_messages(const RingTraffic& before,
+                                      const RingTraffic& after) {
+  const std::uint64_t forwards = after.forwards - before.forwards;
+  const std::uint64_t full = after.full - before.full;
+  const std::uint64_t wakes = after.wakes - before.wakes;
+  EXPECT_GT(forwards, 0u);
+  EXPECT_LE(wakes, 2 * forwards + full)
+      << "forwards " << forwards << " ring_full " << full;
 }
 
 fs::path fresh_dir(const std::string& name) {
@@ -255,6 +325,111 @@ TEST(ShardServer, FlatServerIdleAlsoQuiescent) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_EQ(server.loop_iterations(), before);
   server.stop();
+}
+
+// --- reply path ---------------------------------------------------------
+
+TEST(ShardServer, ParkedPeersNeverMissARingDoorbell) {
+  // Producers ring a peer's eventfd only while it is parked in
+  // epoll_wait. Single-frame round trips that touch all three shards,
+  // separated by seeded 0-200 us idle gaps, make every worker park
+  // between frames, so ring messages keep racing peers on their way to
+  // sleep. A lost wake-up would strand the frame until an unrelated
+  // event; the 2 s I/O deadline turns that into a failure, not a hang.
+  constexpr std::uint32_t kShards = 3;
+  constexpr std::size_t kRoundTrips = 2000;
+  ShardedMemoryServer srv(kShards);
+  std::vector<Client> clients;  // accept is round-robin: one per worker
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    Client::Options copts;
+    copts.port = srv.server->port();
+    copts.io_timeout = std::chrono::milliseconds(2000);
+    clients.emplace_back(copts);
+    (void)clients.back().stats();  // connect now, in worker order
+  }
+  const RingTraffic before = RingTraffic::read(kShards);
+  const auto keys = keys_spanning_shards(kShards, kRoundTrips / 2, 41);
+  std::mt19937_64 rng(20261018);
+  std::uniform_int_distribution<int> gap_us(0, 200);
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  for (std::size_t i = 0; i < kRoundTrips; ++i) {
+    // Even trips insert a fresh 3-key batch, odd ones query it back
+    // through a different connection (so a different origin worker).
+    const std::span<const std::string> batch(keys.data() + (i / 2) * kShards,
+                                             kShards);
+    Client& c = clients[i % clients.size()];
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto v = i % 2 == 0 ? c.insert(batch) : c.query(batch);
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
+    ASSERT_EQ(v.size(), batch.size()) << "round trip " << i;
+    for (const auto b : v) ASSERT_EQ(b, 1) << "round trip " << i;
+    std::this_thread::sleep_for(std::chrono::microseconds(gap_us(rng)));
+  }
+  EXPECT_LT(slowest, std::chrono::seconds(2));
+  const RingTraffic after = RingTraffic::read(kShards);
+  expect_wakes_bounded_by_messages(before, after);
+  // Workers park between frames, so the doorbell path is exercised.
+  EXPECT_GT(after.wakes, before.wakes);
+}
+
+TEST(ShardServer, PipelinedFramesAnswerInOrderAcrossHalfClose) {
+  // 32 frames written back-to-back, then shutdown(SHUT_WR): the server
+  // reads EOF while most replies are still crossing the rings. Every
+  // reply must still arrive, in request order, and only then EOF —
+  // the half-closed connection closes once its pipeline has flushed.
+  // Scattered and single-key batches alternate so completions finish
+  // out of order; each query re-reads the batch inserted just before
+  // it and must see it (per-shard FIFO keeps the insert first).
+  constexpr std::uint32_t kShards = 3;
+  constexpr std::uint64_t kFrames = 32;
+  ShardedMemoryServer srv(kShards);
+  const RingTraffic before = RingTraffic::read(kShards);
+  Socket s = connect_tcp("127.0.0.1", srv.server->port(),
+                         std::chrono::milliseconds(2000));
+  const auto keys = keys_spanning_shards(kShards, 8 * kFrames, 51);
+  std::string wire;
+  std::vector<std::size_t> expect_keys;
+  std::size_t next = 0;
+  for (std::uint64_t id = 0; id < kFrames; id += 2) {
+    const std::size_t n = (id / 2) % 2 == 0 ? 8 * kShards : 1;
+    std::string payload;
+    append_key_batch<std::string>(
+        payload, std::span<const std::string>(keys.data() + next, n));
+    next += n;
+    append_frame(wire, Opcode::kInsert, 0, id, payload);
+    append_frame(wire, Opcode::kQuery, 0, id + 1, payload);
+    expect_keys.push_back(n);
+    expect_keys.push_back(n);
+  }
+  write_all(s.fd(), wire.data(), wire.size());
+  ASSERT_EQ(::shutdown(s.fd(), SHUT_WR), 0);
+
+  std::string rx;
+  std::uint64_t expect_id = 0;
+  std::vector<std::uint8_t> verdicts;
+  for (;;) {
+    const DecodeResult r = decode_frame(rx);
+    if (r.status == DecodeStatus::kFrame) {
+      ASSERT_LT(expect_id, kFrames) << "reply past the last request";
+      EXPECT_EQ(r.frame.header.request_id, expect_id);
+      EXPECT_EQ(r.frame.header.flags, kFlagResponse);
+      ASSERT_EQ(parse_verdicts(r.frame.payload, verdicts), nullptr);
+      ASSERT_EQ(verdicts.size(), expect_keys[expect_id]);
+      for (const auto b : verdicts) EXPECT_EQ(b, 1) << "frame " << expect_id;
+      ++expect_id;
+      rx.erase(0, r.consumed);
+      continue;
+    }
+    ASSERT_EQ(r.status, DecodeStatus::kNeedMore);
+    char chunk[4096];
+    const auto n = read_some(s.fd(), chunk, sizeof chunk);
+    ASSERT_GE(n, 0) << "no reply or EOF within the I/O deadline";
+    if (n == 0) break;
+    rx.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(expect_id, kFrames);
+  EXPECT_TRUE(rx.empty());
+  expect_wakes_bounded_by_messages(before, RingTraffic::read(kShards));
 }
 
 // --- sequenced mutations ------------------------------------------------
